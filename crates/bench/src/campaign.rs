@@ -268,10 +268,13 @@ pub fn run_campaign(opts: &CampaignOptions) -> Result<CampaignRun, CampaignError
             SurvivalClass::Degraded => {
                 format!("degraded: {}", obs.degraded_artifacts.join(", "))
             }
+            // Whether the damaged line scans as corrupt or as a torn
+            // tail depends on whether another worker appended after it,
+            // so only the schedule-independent total is reported.
             SurvivalClass::Absorbed if obs.journal_damage_detected => {
                 format!(
-                    "journal damage detected ({} corrupt, {} torn), cell re-ran",
-                    scan.corrupt, scan.truncated
+                    "journal damage detected ({} damaged line(s)), cell re-ran",
+                    scan.corrupt + scan.truncated
                 )
             }
             SurvivalClass::Absorbed => String::new(),

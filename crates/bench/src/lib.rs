@@ -21,7 +21,7 @@ use std::sync::Arc;
 
 use cpu_models::CpuId;
 use spectrebench::experiments as exp;
-use spectrebench::obs::{metrics, trace};
+use spectrebench::obs::trace;
 use spectrebench::{
     atomic_write, default_jobs, EventBus, Executor, ExperimentError, FaultPlan, Harness,
     HarnessStats, Journal, RetryPolicy,
@@ -454,12 +454,18 @@ pub fn run_regen(opts: &RegenOptions) -> std::io::Result<RegenReport> {
     }
     let stats = exec.stats();
     if let Some(bus) = &obs {
-        let events = bus.snapshot();
         if let Some(path) = &opts.trace_out {
-            atomic_write(path, trace::chrome_trace_json(&events).as_bytes())?;
+            atomic_write(path, trace::chrome_trace_json(&bus.snapshot()).as_bytes())?;
+            let dropped = bus.dropped();
+            if dropped > 0 {
+                eprintln!(
+                    "regen: trace holds the newest {} events; {dropped} older event(s) were dropped",
+                    bus.len()
+                );
+            }
         }
         if let Some(path) = &opts.metrics_out {
-            atomic_write(path, metrics::prometheus_text(&events, &stats).as_bytes())?;
+            atomic_write(path, bus.registry_text(&stats).as_bytes())?;
         }
     }
     let report = RegenReport { results, stats, obs };

@@ -9,10 +9,16 @@
 //!   fault-injected / watchdog-fired — each carrying the experiment,
 //!   cell key, content key, worker id, attempt, and a monotonic
 //!   timestamp from a swappable [`Clock`];
-//! * [`trace`] renders the bus as Chrome trace-event JSON (one lane per
-//!   worker, loadable in Perfetto / `chrome://tracing`);
-//! * [`metrics`] renders it as a Prometheus-style text exposition whose
-//!   counters cross-check [`crate::harness::HarnessStats`].
+//! * the bus folds every event into a live [`metrics::Registry`] as it
+//!   is emitted, and keeps only the newest [`RETAIN`] events in a ring
+//!   (counting the ones it drops), so its memory is bounded and a
+//!   metrics scrape costs O(metric families) whatever the uptime;
+//! * [`trace`] renders the retained events as Chrome trace-event JSON
+//!   (one lane per worker, loadable in Perfetto / `chrome://tracing`);
+//! * [`metrics`] renders the registry as a Prometheus-style text
+//!   exposition whose counters cross-check
+//!   [`crate::harness::HarnessStats`]; [`metrics::prometheus_text`]
+//!   replays a recorded stream through the same fold.
 //!
 //! Recording is observational only: the executor emits events *after*
 //! computing values, the bus never feeds back into scheduling, and the
@@ -21,21 +27,37 @@
 //!
 //! **Lock discipline.** Events are fully built (timestamp taken, keys
 //! cloned) before the bus lock is acquired, so the critical section is
-//! a single `Vec::push`. The bus lock is never held while any other
-//! lock (cache, stats, journal) is taken.
+//! the ring push plus the registry fold: counter bumps, a histogram
+//! observation and a few ordered-map probes, with no allocation for a
+//! key the registry already holds. An event evicted from a full ring is
+//! freed after the lock is released. The bus lock is never held while any
+//! other lock (cache, stats, journal) is taken.
 
 pub mod clock;
 pub mod metrics;
 pub mod trace;
 
 use std::cell::Cell as StdCell;
+use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use crate::faultplan::FaultKind;
-use crate::harness::lock;
+use crate::harness::{lock, HarnessStats};
 
 pub use clock::{Clock, SystemClock, VirtualClock};
+use metrics::Registry;
+
+/// How many of the newest events an [`EventBus`] retains for
+/// [`EventBus::snapshot`] (trace export, tests). Older events are
+/// evicted and counted ([`EventBus::dropped`]); every metric has
+/// already folded them, so eviction never changes the exposition.
+///
+/// A full `regen` sweep emits about 1.3k events, so its trace is whole
+/// with room to spare; a `regend` at 2000 req/s keeps its last two
+/// seconds. At about 200 bytes per retained event a bus holds at most
+/// about 3 MB.
+pub const RETAIN: usize = 1 << 14;
 
 thread_local! {
     /// The executor worker lane the current thread is running cells
@@ -331,7 +353,15 @@ pub struct Event {
 #[derive(Debug)]
 pub struct EventBus {
     clock: Arc<dyn Clock>,
-    events: Mutex<Vec<Event>>,
+    state: Mutex<BusState>,
+}
+
+/// What the bus lock guards: the live registry and the bounded ring.
+#[derive(Debug, Default)]
+struct BusState {
+    registry: Registry,
+    ring: VecDeque<Event>,
+    emitted: u64,
 }
 
 impl Default for EventBus {
@@ -348,7 +378,7 @@ impl EventBus {
 
     /// A bus over an explicit clock (tests pass a [`VirtualClock`]).
     pub fn with_clock(clock: Arc<dyn Clock>) -> EventBus {
-        EventBus { clock, events: Mutex::new(Vec::new()) }
+        EventBus { clock, state: Mutex::new(BusState::default()) }
     }
 
     /// A reading of the bus clock (what event timestamps are relative
@@ -357,8 +387,10 @@ impl EventBus {
         self.clock.now()
     }
 
-    /// Records one event. The worker lane is taken from the calling
-    /// thread's tag (see [`set_current_worker`]).
+    /// Records one event: folds it into the registry and appends it to
+    /// the ring, evicting the oldest retained event once [`RETAIN`] are
+    /// held. The worker lane is taken from the calling thread's tag
+    /// (see [`set_current_worker`]).
     pub fn emit(
         &self,
         experiment: &str,
@@ -376,22 +408,56 @@ impl EventBus {
             attempt,
             kind,
         };
-        lock(&self.events).push(event);
+        // An evicted event is freed after the guard is released.
+        let _evicted = {
+            let mut state = lock(&self.state);
+            state.registry.fold(&event);
+            state.emitted += 1;
+            let evicted = if state.ring.len() == RETAIN { state.ring.pop_front() } else { None };
+            state.ring.push_back(event);
+            evicted
+        };
     }
 
-    /// A snapshot of every event recorded so far, in emission order.
+    /// A snapshot of the retained events (the newest [`RETAIN`]), in
+    /// emission order.
     pub fn snapshot(&self) -> Vec<Event> {
-        lock(&self.events).clone()
+        lock(&self.state).ring.iter().cloned().collect()
     }
 
-    /// Number of events recorded so far.
+    /// Number of events retained (at most [`RETAIN`]).
     pub fn len(&self) -> usize {
-        lock(&self.events).len()
+        lock(&self.state).ring.len()
     }
 
     /// True if nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        lock(&self.events).is_empty()
+        lock(&self.state).ring.is_empty()
+    }
+
+    /// Number of events ever emitted on this bus.
+    pub fn emitted(&self) -> u64 {
+        lock(&self.state).emitted
+    }
+
+    /// Number of events evicted from the ring (`emitted - len`).
+    pub fn dropped(&self) -> u64 {
+        lock(&self.state).dropped()
+    }
+
+    /// The Prometheus exposition of every event ever emitted, rendered
+    /// from the live registry in O(metric families). While
+    /// [`EventBus::dropped`] is 0 it is byte-equal to
+    /// [`metrics::prometheus_text`] over [`EventBus::snapshot`].
+    pub fn registry_text(&self, stats: &HarnessStats) -> String {
+        let state = lock(&self.state);
+        state.registry.render(stats, state.dropped())
+    }
+}
+
+impl BusState {
+    fn dropped(&self) -> u64 {
+        self.emitted - self.ring.len() as u64
     }
 }
 
@@ -411,6 +477,25 @@ mod tests {
         assert_eq!(events[0].worker, 3);
         assert_eq!(events[0].kind, EventKind::CellStarted);
         assert!(events[1].ts > events[0].ts, "virtual clock ticks every read");
+    }
+
+    #[test]
+    fn the_ring_keeps_the_newest_events_and_counts_the_rest() {
+        let bus = EventBus::with_clock(Arc::new(VirtualClock::new()));
+        for i in 0..RETAIN + 3 {
+            bus.emit("exp", &format!("exp/{i}"), "", 0, EventKind::CacheHit);
+        }
+        assert_eq!(bus.len(), RETAIN);
+        assert_eq!(bus.emitted(), RETAIN as u64 + 3);
+        assert_eq!(bus.dropped(), 3);
+        let events = bus.snapshot();
+        assert_eq!(events[0].cell, "exp/3", "the three oldest were evicted");
+        assert_eq!(events[RETAIN - 1].cell, format!("exp/{}", RETAIN + 2));
+        // The registry folded every event, evicted ones included.
+        let text = bus.registry_text(&HarnessStats::default());
+        let value = |name| metrics::metric_value(&text, name);
+        assert_eq!(value("regen_cells_cached_total"), Some((RETAIN + 3) as f64));
+        assert_eq!(value("regen_obs_events_dropped_total"), Some(3.0));
     }
 
     #[test]

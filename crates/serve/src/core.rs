@@ -27,7 +27,6 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use bench::{render_artifact_block, Artifact, ArtifactResult};
-use spectrebench::obs::metrics::prometheus_text;
 use spectrebench::obs::EventKind;
 use spectrebench::{
     cell_value_json, crc32, default_jobs, EventBus, Executor, FaultPlan, FlightOutcome, Harness,
@@ -393,7 +392,7 @@ impl Core {
     }
 
     fn metrics(&self) -> Response {
-        Response::text(200, prometheus_text(&self.bus.snapshot(), &self.exec.stats()))
+        Response::text(200, self.bus.registry_text(&self.exec.stats()))
     }
 
     /// `GET /artifact/<name>[?quick=0|1][&seed=0][&deadline_ms=..]`

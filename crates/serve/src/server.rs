@@ -49,6 +49,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use spectrebench::obs::EventKind;
+use spectrebench::EventBus;
 
 use crate::core::{deadline_expired, lock, Action, Core, RunSummary, ServerConfig, SlowWork};
 use crate::http::{Body, HttpError, Request, RequestParser, Response};
@@ -304,6 +305,11 @@ impl ServerHandle {
     /// True once drain has started.
     pub fn is_draining(&self) -> bool {
         self.core.is_draining()
+    }
+
+    /// The event bus behind the server's `/metrics`.
+    pub fn bus(&self) -> &Arc<EventBus> {
+        &self.core.bus
     }
 }
 

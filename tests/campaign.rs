@@ -1,8 +1,8 @@
 //! Fault-campaign proofs: the coordinate space is duplicate-free and
 //! deterministic, stratified samples are seed-stable subsets, a full
 //! campaign over a small experiment classifies every coordinate with
-//! zero silent corruption (byte-identical report for a fixed seed),
-//! and a campaign SIGKILLed mid-flight resumes from its journal
+//! zero silent corruption (byte-identical report for a fixed seed and
+//! any job count), and a campaign SIGKILLed mid-flight resumes from its journal
 //! instead of starting over.
 
 use std::collections::HashSet;
@@ -219,6 +219,35 @@ fn full_campaign_classifies_every_coordinate_with_no_silent_corruption() {
     assert_eq!(a, b, "written reports byte-identical");
     assert_eq!(a, run.report.to_json().into_bytes(), "file matches in-memory render");
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn campaign_report_is_identical_at_one_and_four_jobs() {
+    // Which worker appends after an injected torn line decides whether
+    // the journal scan calls it corrupt or a torn tail; the report must
+    // not depend on that, so it is byte-equal across job counts and to
+    // the committed baseline (the same campaign CI's soak job runs).
+    let dir = scratch("jobs");
+    let run = |jobs: usize| {
+        let opts = CampaignOptions {
+            artifacts: vec![Artifact::Table1],
+            quick: true,
+            retries: 2,
+            jobs: Some(jobs),
+            dir: dir.join(format!("jobs{jobs}")),
+            ..CampaignOptions::default()
+        };
+        run_campaign(&opts).expect("campaign completes").report.to_json()
+    };
+    let serial = run(1);
+    let parallel = run(4);
+    assert_eq!(serial, parallel, "report depends on the job count");
+    let baseline = std::fs::read_to_string(
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("CAMPAIGN_BASELINE.json"),
+    )
+    .expect("committed baseline");
+    assert_eq!(serial, baseline, "report drifted from CAMPAIGN_BASELINE.json");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

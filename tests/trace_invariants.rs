@@ -8,6 +8,8 @@
 //! * the Prometheus exposition's counters (derived from events) agree
 //!   with the harness's own `HarnessStats` counters — a genuine
 //!   cross-check, since the two are maintained independently;
+//! * the bus's live metrics registry renders byte for byte what
+//!   replaying its recorded events renders;
 //! * the Chrome trace export is well-formed JSON containing the spans;
 //! * attaching the bus never changes rendered artifacts.
 //!
@@ -26,6 +28,12 @@ use spectrebench::{Event, EventBus, EventKind, FaultKind, FaultPlan, HarnessStat
 /// appears twice, so its second pass is served entirely from cache),
 /// and — optionally — injected transient faults.
 fn sweep(jobs: Option<usize>, inject: Option<FaultPlan>) -> (Vec<Event>, HarnessStats) {
+    let (bus, stats) = sweep_on_bus(jobs, inject);
+    (bus.snapshot(), stats)
+}
+
+/// [`sweep`], returning the bus the sweep recorded on.
+fn sweep_on_bus(jobs: Option<usize>, inject: Option<FaultPlan>) -> (Arc<EventBus>, HarnessStats) {
     let bus = Arc::new(EventBus::with_clock(Arc::new(VirtualClock::new())));
     let opts = RegenOptions {
         artifacts: vec![Artifact::Table1, Artifact::Table9, Artifact::Table10, Artifact::Table9],
@@ -38,7 +46,29 @@ fn sweep(jobs: Option<usize>, inject: Option<FaultPlan>) -> (Vec<Event>, Harness
     };
     let report = run_regen(&opts).expect("no journal, so no I/O to fail");
     assert!(report.failures().is_empty(), "{:?}", report.failures());
-    (bus.snapshot(), report.stats)
+    (bus, report.stats)
+}
+
+/// Asserts the bus's live registry renders byte for byte what replaying
+/// its retained events renders. Both renders also sample process-wide
+/// interpreter and analysis counters, which the other tests' sweeps can
+/// move between the two, so a pair is compared once those samples agree.
+fn assert_registry_matches_oracle(bus: &EventBus, stats: &HarnessStats) {
+    assert_eq!(bus.dropped(), 0, "the oracle needs every event");
+    let sampled = |text: &str| -> Vec<String> {
+        text.lines()
+            .filter(|l| l.starts_with("regen_uarch_") || l.starts_with("regen_spec_taint_"))
+            .map(str::to_string)
+            .collect()
+    };
+    loop {
+        let live = bus.registry_text(stats);
+        let replay = metrics::prometheus_text(&bus.snapshot(), stats);
+        if sampled(&live) == sampled(&replay) {
+            assert_eq!(live, replay, "live registry diverged from the replay oracle");
+            return;
+        }
+    }
 }
 
 /// The structural invariants every event stream must satisfy.
@@ -160,8 +190,10 @@ fn invariants_hold_under_injected_faults() {
 #[test]
 fn metrics_cross_check_harness_stats() {
     let plan = FaultPlan::new().fail_cell("table9/Cascade Lake", FaultKind::SimFault, Some(2));
-    let (events, stats) = sweep(Some(2), Some(plan));
+    let (bus, stats) = sweep_on_bus(Some(2), Some(plan));
+    let events = bus.snapshot();
     let text = metrics::prometheus_text(&events, &stats);
+    assert_registry_matches_oracle(&bus, &stats);
     let value = |name: &str| {
         metrics::metric_value(&text, name).unwrap_or_else(|| panic!("{name} missing:\n{text}"))
     };
