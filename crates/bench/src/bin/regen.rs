@@ -22,7 +22,7 @@
 //! Exit codes: 0 clean; 1 at least one artifact failed or was degraded
 //! (or a journal append was lost); 2 bad usage (unknown artifact or
 //! malformed flag). `regen fsck` exits 0 when every line was valid, 1
-//! when only recoverable crash artifacts (stale / torn tail) were
+//! when only recoverable artifacts (legacy v1 lines / torn tail) were
 //! found, 2 on checksum or structural corruption. `regen campaign`
 //! exits 0 when every explored coordinate was absorbed, degraded, or
 //! failed loud; 1 when the reference sweep was not clean; 2 on any

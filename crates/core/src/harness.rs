@@ -300,8 +300,8 @@ pub struct HarnessStats {
     /// Journal appends (or flushes/fsyncs) that failed; nonzero makes
     /// the sweep not clean, because resumability was silently lost.
     pub journal_write_errors: u64,
-    /// Journal lines skipped on open because they predate the
-    /// seed-aware format (stale: replaying them would be wrong).
+    /// Legacy v1 journal lines skipped on open (stale: no checksum, so
+    /// they never replay).
     pub journal_stale: u64,
     /// Journal lines rejected on open because their checksum or
     /// structure was wrong mid-file (corruption, never replayed).
@@ -710,15 +710,15 @@ pub const JOURNAL_HEADER_V2: &str = "#regen-journal v2";
 /// How `Journal::open` / `fsck` classified one journal line.
 #[derive(Debug, Clone, PartialEq)]
 pub enum LineClass {
-    /// A parseable cell entry (v2 with a matching checksum, or a legacy
-    /// v1 line carrying seed and kind).
+    /// A parseable v2 cell entry with a matching checksum.
     Valid(String, u64, CellValue),
     /// The format header (`#regen-journal v2`).
     Header,
     /// A blank line (ignored, not counted).
     Blank,
-    /// A pre-seed-format line: structurally sound but recorded before
-    /// cells were keyed by seed, so replaying it would be wrong.
+    /// A legacy v1 line (bare JSON, no checksum). Nothing writes v1 any
+    /// more and an unchecked line cannot be trusted, so it never replays;
+    /// fsck quarantines it.
     Stale,
     /// The incomplete final line of a killed writer (no closing brace /
     /// short header); expected after a crash, recovered by re-running.
@@ -734,7 +734,7 @@ pub struct JournalScan {
     /// Valid cell entries loaded (later duplicates overwrite earlier
     /// ones, so this can exceed the entry count).
     pub valid: u64,
-    /// Stale pre-seed-format lines skipped.
+    /// Legacy v1 lines skipped.
     pub stale: u64,
     /// Torn final lines skipped.
     pub truncated: u64,
@@ -825,15 +825,7 @@ pub fn classify_line(line: &str, is_last: bool) -> LineClass {
         };
     }
     if trimmed.starts_with("{\"cell\":\"") {
-        // Legacy v1 line (no checksum). Replay it if it carries seed
-        // and kind; the pre-plan format without them is stale.
-        if let Some((key, seed, v)) = parse_journal_line(trimmed) {
-            return LineClass::Valid(key, seed, v);
-        }
-        if trimmed.ends_with('}') && extract_string_field(trimmed, "cell").is_some() {
-            return LineClass::Stale;
-        }
-        return if is_last { LineClass::TruncatedTail } else { LineClass::Corrupt };
+        return LineClass::Stale;
     }
     if is_last {
         LineClass::TruncatedTail
@@ -858,9 +850,8 @@ pub fn classify_line(line: &str, is_last: bool) -> LineClass {
 /// entry). Hand-rolled (the workspace carries no serde); the writer
 /// escapes and the reader accepts exactly this shape, tolerating
 /// unknown trailing fields. Legacy v1 lines (bare JSON, no checksum)
-/// still replay; pre-seed-format lines are counted stale and skipped —
-/// a resumed sweep must never reuse a value recorded under different
-/// seeding. Every line is classified on open ([`classify_line`]) and
+/// are counted stale and never replay: a resumed sweep must never reuse
+/// a value it cannot verify. Every line is classified on open ([`classify_line`]) and
 /// the per-class counts are kept in [`JournalScan`].
 ///
 /// Durability: appends go through a buffered writer that is flushed
@@ -1030,8 +1021,8 @@ pub struct FsckReport {
     pub scan: JournalScan,
     /// Distinct (cell, seed) entries surviving compaction.
     pub entries: u64,
-    /// Where quarantined (corrupt + truncated) raw lines were written,
-    /// when there were any.
+    /// Where quarantined (stale + corrupt + truncated) raw lines were
+    /// written, when there were any.
     pub quarantine: Option<PathBuf>,
 }
 
@@ -1053,10 +1044,11 @@ impl FsckReport {
 /// Verifies and repairs a journal file:
 ///
 /// 1. classifies every line ([`classify_line`]);
-/// 2. writes corrupt and truncated raw lines to `<journal>.quarantine`
-///    (appending, so repeated fsck runs keep earlier evidence);
+/// 2. writes stale (legacy v1), corrupt and truncated raw lines to
+///    `<journal>.quarantine` (appending, so repeated fsck runs keep
+///    earlier evidence);
 /// 3. atomically rewrites the journal compacted — header plus one v2
-///    line per surviving (cell, seed) entry, legacy v1 lines upgraded.
+///    line per surviving (cell, seed) entry.
 ///
 /// The rewrite goes through [`atomic_write`], so a crash mid-fsck
 /// leaves the original journal untouched.
@@ -1071,7 +1063,7 @@ pub fn fsck_journal(path: &Path) -> std::io::Result<FsckReport> {
     let mut bad_lines = String::new();
     for (i, line) in lines.iter().enumerate() {
         let is_last = i + 1 == n && !complete_tail;
-        match classify_line(line, is_last) {
+        let count = match classify_line(line, is_last) {
             LineClass::Valid(key, seed, v) => {
                 scan.valid += 1;
                 let k = (key, seed);
@@ -1083,20 +1075,16 @@ pub fn fsck_journal(path: &Path) -> std::io::Result<FsckReport> {
                         entries.push((k, v));
                     }
                 }
+                continue;
             }
-            LineClass::Stale => scan.stale += 1,
-            LineClass::TruncatedTail => {
-                scan.truncated += 1;
-                bad_lines.push_str(line);
-                bad_lines.push('\n');
-            }
-            LineClass::Corrupt => {
-                scan.corrupt += 1;
-                bad_lines.push_str(line);
-                bad_lines.push('\n');
-            }
-            LineClass::Header | LineClass::Blank => {}
-        }
+            LineClass::Header | LineClass::Blank => continue,
+            LineClass::Stale => &mut scan.stale,
+            LineClass::TruncatedTail => &mut scan.truncated,
+            LineClass::Corrupt => &mut scan.corrupt,
+        };
+        *count += 1;
+        bad_lines.push_str(line);
+        bad_lines.push('\n');
     }
 
     let mut quarantine = None;
@@ -1185,9 +1173,8 @@ fn unescape_json(s: &str) -> String {
     out
 }
 
-/// Parses one journal line; `None` for malformed input (a truncated
-/// final line from a killed run, or a stale pre-seed-format line, is
-/// expected, not an error).
+/// Parses one journal payload; `None` for malformed input (a truncated
+/// final line from a killed run is expected, not an error).
 fn parse_journal_line(line: &str) -> Option<(String, u64, CellValue)> {
     let line = line.trim();
     if line.is_empty() {
@@ -1460,11 +1447,12 @@ mod tests {
         assert_eq!(classify_line(JOURNAL_HEADER_V2, false), LineClass::Header);
         assert_eq!(classify_line("", false), LineClass::Blank);
         assert_eq!(classify_line("   ", false), LineClass::Blank);
-        // Legacy v1 with seed+kind replays; pre-seed v1 is stale.
-        assert!(matches!(
+        // Every legacy v1 line is stale, whether or not it carries seed
+        // and kind: with no checksum it never replays.
+        assert_eq!(
             classify_line("{\"cell\":\"a/b\",\"seed\":0,\"kind\":\"num\",\"v\":[2]}", false),
-            LineClass::Valid(..)
-        ));
+            LineClass::Stale
+        );
         assert_eq!(
             classify_line("{\"cell\":\"a/b\",\"mean\":1.0,\"ci95\":0.1,\"n\":7,\"retries\":0}", false),
             LineClass::Stale
@@ -1502,8 +1490,8 @@ mod tests {
         flipped[mid] ^= 0x01;
         text.push_str(&String::from_utf8(flipped).unwrap());
         text.push('\n');
-        // Stale pre-seed v1 line.
-        text.push_str("{\"cell\":\"a/stale\",\"mean\":1.0,\"ci95\":0.1,\"n\":7,\"retries\":0}\n");
+        // Legacy v1 line, complete with seed and kind: stale.
+        text.push_str("{\"cell\":\"a/stale\",\"seed\":1,\"kind\":\"num\",\"v\":[3]}\n");
         // Torn tail: prefix of a valid line, no trailing newline.
         let torn_src = encode_v2_line("a/torn", 1, &CellValue::Num(6.0));
         text.push_str(&torn_src[..torn_src.len() * 2 / 3]);
@@ -1519,6 +1507,7 @@ mod tests {
         assert_eq!(j.lookup("a/good", 1), Some(CellValue::Num(4.0)));
         assert_eq!(j.lookup("a/other", 1), None, "corrupt line must not replay");
         assert_eq!(j.lookup("a/torn", 1), None, "torn line must not replay");
+        assert_eq!(j.lookup("a/stale", 1), None, "v1 line must not replay");
         let _ = std::fs::remove_file(&path);
     }
 
@@ -1539,7 +1528,7 @@ mod tests {
         assert!(report.quarantine.is_none());
 
         // Duplicate entries compact to one, later value winning; a
-        // legacy v1 line upgrades to v2.
+        // legacy v1 line is quarantined.
         text.push_str(&encode_v2_line("a/x", 1, &CellValue::Num(2.0)));
         text.push_str("{\"cell\":\"a/v1\",\"seed\":0,\"kind\":\"num\",\"v\":[7]}\n");
         // Corrupt line => severity 2 + quarantine.
@@ -1551,18 +1540,20 @@ mod tests {
         std::fs::write(&path, &text).unwrap();
         let report = fsck_journal(&path).unwrap();
         assert_eq!(report.severity(), 2);
-        assert_eq!(report.entries, 2, "a/x compacted + a/v1 upgraded");
-        assert_eq!((report.scan.valid, report.scan.corrupt), (3, 1));
+        assert_eq!(report.entries, 1, "a/x compacted, a/v1 dropped");
+        assert_eq!((report.scan.valid, report.scan.stale, report.scan.corrupt), (2, 1, 1));
         let qpath = report.quarantine.unwrap();
-        assert!(std::fs::read_to_string(&qpath).unwrap().contains("a/bad") || !std::fs::read_to_string(&qpath).unwrap().is_empty());
+        let quarantined = std::fs::read_to_string(&qpath).unwrap();
+        assert!(quarantined.contains("a/v1"), "{quarantined}");
+        assert_eq!(quarantined.lines().count(), 2, "the v1 line and the corrupt line");
 
-        // The compacted journal is fully valid and replays both cells.
+        // The compacted journal is fully valid and replays only v2 cells.
         let report = fsck_journal(&path).unwrap();
         assert_eq!(report.severity(), 0);
         let j = Journal::open(&path).unwrap();
         assert!(j.scan().is_clean());
         assert_eq!(j.lookup("a/x", 1), Some(CellValue::Num(2.0)), "later duplicate won");
-        assert_eq!(j.lookup("a/v1", 0), Some(CellValue::Num(7.0)));
+        assert_eq!(j.lookup("a/v1", 0), None, "v1 line must not replay");
 
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_file(&qpath);

@@ -8,7 +8,7 @@
 //! at the CPU model's calibrated latencies — in `KernelState::switch_to`.
 
 use uarch::fault::{Fault, PageFaultKind, SimError};
-use uarch::isa::{msr_index, spec_ctrl, Reg, Width};
+use uarch::isa::{msr_index, spec_ctrl, Reg};
 use uarch::machine::{Env, Machine, Stop};
 use uarch::mem::{PAGE_SHIFT, PAGE_SIZE};
 use uarch::mmu::{make_cr3, PageTable, PageTableId, Pte};
@@ -544,55 +544,41 @@ impl KernelState {
     /// Reads `len` bytes from the current address space, demand-mapping
     /// lazily mmapped pages as needed. Returns fewer bytes on a bad range.
     fn copy_from_user(&mut self, m: &mut Machine, buf: u64, len: u64) -> Vec<u8> {
-        let mut out = Vec::with_capacity(len as usize);
-        let mut addr = buf;
-        let end = buf + len;
-        while addr < end {
-            let chunk = (end - addr).min(8 - (addr & 7));
-            let width = width_for(chunk);
-            match m.read_virt(addr, width) {
-                Ok(v) => {
-                    out.extend_from_slice(&v.to_le_bytes()[..width.bytes() as usize]);
-                    addr += width.bytes();
-                }
-                Err(Fault::Page { vaddr, kind: PageFaultKind::NotMapped, .. })
-                    if self.demand_map(m, vaddr) =>
-                {
-                    continue;
-                }
-                Err(_) => break,
-            }
-        }
-        self.bytes_copied += out.len() as u64;
+        let mut out = vec![0; len as usize];
+        let n = self.copy_user(m, out.len(), |m, done| {
+            m.copy_from_virt(buf + done as u64, &mut out[done..])
+        });
+        out.truncate(n);
         out
     }
 
     /// Writes bytes into the current address space (demand-mapping).
     fn copy_to_user(&mut self, m: &mut Machine, buf: u64, data: &[u8]) -> u64 {
-        let mut addr = buf;
-        let mut i = 0usize;
-        while i < data.len() {
-            let chunk = (data.len() - i).min(8 - (addr & 7) as usize);
-            let width = width_for(chunk as u64);
-            let mut bytes = [0u8; 8];
-            bytes[..width.bytes() as usize]
-                .copy_from_slice(&data[i..i + width.bytes() as usize]);
-            let v = u64::from_le_bytes(bytes);
-            match m.write_virt(addr, v, width) {
-                Ok(()) => {
-                    addr += width.bytes();
-                    i += width.bytes() as usize;
-                }
-                Err(Fault::Page { vaddr, kind: PageFaultKind::NotMapped, .. })
-                    if self.demand_map(m, vaddr) =>
-                {
-                    continue;
-                }
-                Err(_) => break,
+        self.copy_user(m, data.len(), |m, done| m.copy_to_virt(buf + done as u64, &data[done..]))
+            as u64
+    }
+
+    /// Runs a bulk copy of `len` bytes, demand-mapping the page of each
+    /// not-mapped fault and resuming there. `step(m, done)` copies the
+    /// rest from `done` bytes in. Returns the bytes copied.
+    fn copy_user(
+        &mut self,
+        m: &mut Machine,
+        len: usize,
+        mut step: impl FnMut(&mut Machine, usize) -> (usize, Option<Fault>),
+    ) -> usize {
+        let mut done = 0;
+        while done < len {
+            let (n, fault) = step(m, done);
+            done += n;
+            match fault {
+                Some(Fault::Page { vaddr, kind: PageFaultKind::NotMapped, .. })
+                    if self.demand_map(m, vaddr) => {}
+                _ => break,
             }
         }
-        self.bytes_copied += i as u64;
-        i as u64
+        self.bytes_copied += done as u64;
+        done
     }
 
     /// Maps the page containing `vaddr` if it lies in one of the current
@@ -1169,16 +1155,6 @@ impl KernelState {
                 }
             }
         }
-    }
-}
-
-fn width_for(bytes_left: u64) -> Width {
-    match bytes_left {
-        0 => unreachable!("zero-length chunk"),
-        1 => Width::B1,
-        2..=3 => Width::B2,
-        4..=7 => Width::B4,
-        _ => Width::B8,
     }
 }
 

@@ -126,6 +126,31 @@ fn pipe_ping_pong_context_switches() {
 }
 
 #[test]
+fn forked_child_data_pages_byte_equal_the_parents() {
+    // fork() copies each mapped page frame by frame; the child's data
+    // arena must come out byte-equal, untouched pages (zeros) included.
+    let mut k = Kernel::boot(zen2(), &BootParams::default());
+    let pid_slot = 200 * 4096;
+    let pid = k.spawn(move |b| {
+        emit_syscall(b, nr::FORK);
+        // Each side records fork's return past the compared pages.
+        b.mov_imm(Reg::R4, userlib::data_base() + pid_slot);
+        b.push(Inst::Store { src: Reg::R0, base: Reg::R4, offset: 0, width: Width::B8 });
+        emit_exit(b);
+    });
+    let pattern: Vec<u8> = (0..3 * 4096 + 100).map(|i| (i * 7 + 3) as u8).collect();
+    k.poke_user_data(pid, 2000, &pattern);
+    k.start();
+    assert_eq!(k.run(BUDGET).unwrap(), Stop::Halted);
+    assert_eq!(k.state.stats.forks, 1);
+    let child = u64::from_le_bytes(k.peek_user_data(pid, pid_slot, 8).try_into().unwrap());
+    assert_ne!(child, 0, "the parent sees the child's pid");
+    let parent_pages = k.peek_user_data(pid, 0, 6 * 4096);
+    assert_eq!(&parent_pages[2000..2000 + pattern.len()], &pattern[..]);
+    assert!(k.peek_user_data(child, 0, 6 * 4096) == parent_pages, "child pages differ");
+}
+
+#[test]
 fn ibpb_not_issued_with_nospectre_v2() {
     let mut k = Kernel::boot(zen2(), &BootParams::parse("nospectre_v2"));
     k.spawn(|b| {

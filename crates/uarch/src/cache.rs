@@ -14,7 +14,7 @@
 use crate::mem::line_number;
 
 /// A set-associative cache of physical line numbers with LRU replacement.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct L1Cache {
     sets: Vec<Vec<LineEntry>>,
     ways: usize,
@@ -26,7 +26,7 @@ pub struct L1Cache {
     pub misses: u64,
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct LineEntry {
     line: u64,
     stamp: u64,
@@ -81,17 +81,27 @@ impl L1Cache {
     /// Accesses the line containing `paddr`: returns `Hit` or `Miss`, and
     /// in either case leaves the line resident (fills on miss).
     pub fn access(&mut self, paddr: u64) -> CacheOutcome {
+        self.access_run(paddr, 1)
+    }
+
+    /// Accesses the line containing `paddr` `n` (≥ 1) times in a row,
+    /// leaving the stamps and counters that `n` calls to
+    /// [`L1Cache::access`] would: the first access hits or fills, the
+    /// other `n - 1` hit. Returns the first access's outcome.
+    #[inline]
+    pub(crate) fn access_run(&mut self, paddr: u64, n: u64) -> CacheOutcome {
         let line = line_number(paddr);
         let idx = self.set_index(line);
-        self.stamp += 1;
+        self.stamp += n;
         let stamp = self.stamp;
         let set = &mut self.sets[idx];
         if let Some(e) = set.iter_mut().find(|e| e.line == line) {
             e.stamp = stamp;
-            self.hits += 1;
+            self.hits += n;
             return CacheOutcome::Hit;
         }
         self.misses += 1;
+        self.hits += n - 1;
         if set.len() >= self.ways {
             // Evict LRU.
             if let Some((victim, _)) = set.iter().enumerate().min_by_key(|(_, e)| e.stamp) {

@@ -18,7 +18,7 @@ use std::collections::VecDeque;
 pub const CAPACITY: usize = 12;
 
 /// The collapsed fill-buffer / load-port / store-buffer leak source.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, PartialEq)]
 pub struct FillBuffers {
     entries: VecDeque<u64>,
     /// Rotation cursor for [`FillBuffers::sample_rotating`].

@@ -50,6 +50,7 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod cache;
+mod copy;
 pub mod decode;
 pub mod fault;
 pub mod fill_buffer;

@@ -277,6 +277,12 @@ impl Machine {
         self.transient_windows
     }
 
+    /// Cycle at which the most recent committed load finished.
+    #[inline]
+    pub fn last_load_cycle(&self) -> u64 {
+        self.last_load_cycle
+    }
+
     /// Adds cycles to the clock (used by host hooks to charge for work
     /// done in Rust on the machine's behalf, and by the hypervisor for
     /// host-side handling time).

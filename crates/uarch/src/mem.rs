@@ -47,7 +47,7 @@ const NO_FRAME: u64 = u64::MAX;
 /// map; a one-entry [`Cell`] cache keeps the simulator's hot loop off the
 /// hash map entirely when consecutive accesses land in the same frame —
 /// which is nearly always, since a cache line never spans frames.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, PartialEq)]
 pub struct PhysMemory {
     slabs: Vec<Box<[u8; PAGE_SIZE as usize]>>,
     index: HashMap<u64, u32>,
@@ -219,16 +219,42 @@ impl PhysMemory {
         self.write_u64(paddr, v.to_bits())
     }
 
-    /// Copies a byte slice into physical memory.
+    /// Copies a byte slice into physical memory, one frame slice at a
+    /// time: frames are allocated in address order, as a bytewise copy
+    /// would, and written even when the bytes are zero.
     pub fn write_bytes(&mut self, paddr: u64, bytes: &[u8]) {
-        for (i, b) in bytes.iter().enumerate() {
-            self.write_u8(paddr + i as u64, *b);
+        let mut done = 0;
+        while done < bytes.len() {
+            let a = paddr + done as u64;
+            let off = page_offset(a) as usize;
+            let n = (bytes.len() - done).min(PAGE_SIZE as usize - off);
+            let frame = self.frame_mut(page_number(a));
+            frame[off..off + n].copy_from_slice(&bytes[done..done + n]);
+            done += n;
+        }
+    }
+
+    /// Fills `out` from physical memory at `paddr`, one frame slice at a
+    /// time; untouched frames read as zero.
+    pub fn read_into(&self, paddr: u64, out: &mut [u8]) {
+        let mut done = 0;
+        while done < out.len() {
+            let a = paddr + done as u64;
+            let off = page_offset(a) as usize;
+            let n = (out.len() - done).min(PAGE_SIZE as usize - off);
+            match self.frame(page_number(a)) {
+                Some(f) => out[done..done + n].copy_from_slice(&f[off..off + n]),
+                None => out[done..done + n].fill(0),
+            }
+            done += n;
         }
     }
 
     /// Reads `len` bytes starting at `paddr`.
     pub fn read_bytes(&self, paddr: u64, len: usize) -> Vec<u8> {
-        (0..len as u64).map(|i| self.read_u8(paddr + i)).collect()
+        let mut out = vec![0; len];
+        self.read_into(paddr, &mut out);
+        out
     }
 }
 
@@ -286,6 +312,65 @@ mod tests {
         let mut m = PhysMemory::new();
         m.write_bytes(0x55, b"hello world");
         assert_eq!(m.read_bytes(0x55, 11), b"hello world");
+    }
+
+    /// Frame-wise `write_bytes`/`read_bytes` against the bytewise
+    /// `write_u8`/`read_u8` loops: same bytes, same frames allocated in
+    /// the same order, same one-entry frame cache.
+    #[test]
+    fn frame_wise_copies_match_bytewise_copies() {
+        let mut bulk = PhysMemory::new();
+        let mut bytewise = PhysMemory::new();
+        // Within one frame, ending on a boundary, crossing one and two
+        // boundaries, and starting on one.
+        let runs = [
+            (0x10, 40),
+            (PAGE_SIZE - 8, 8),
+            (3 * PAGE_SIZE - 5, 13),
+            (5 * PAGE_SIZE - 1, PAGE_SIZE + 2),
+            (8 * PAGE_SIZE, 9),
+        ];
+        for (i, &(paddr, len)) in runs.iter().enumerate() {
+            let data: Vec<u8> = (0..len).map(|j| (i as u64 * 31 + j) as u8 | 1).collect();
+            bulk.write_bytes(paddr, &data);
+            for (j, b) in data.iter().enumerate() {
+                bytewise.write_u8(paddr + j as u64, *b);
+            }
+            assert!(bulk == bytewise, "write {paddr:#x}+{len}");
+            assert_eq!(bulk.read_bytes(paddr, len as usize), data);
+        }
+        // A read spanning resident and untouched frames reads zeros from
+        // the untouched ones and leaves the cache on the last resident
+        // frame it touched, as bytewise reads do.
+        let span = bulk.read_bytes(PAGE_SIZE - 4, 3 * PAGE_SIZE as usize);
+        let by_byte: Vec<u8> =
+            (0..3 * PAGE_SIZE).map(|j| bytewise.read_u8(PAGE_SIZE - 4 + j)).collect();
+        assert_eq!(span, by_byte);
+        let frame1 = &span[4..4 + PAGE_SIZE as usize];
+        assert!(frame1.iter().all(|b| *b == 0), "frame 1 was never written");
+        assert!(bulk == bytewise, "read leaves the same frame cache");
+    }
+
+    #[test]
+    fn zero_length_copies_are_no_ops() {
+        let mut m = PhysMemory::new();
+        m.write_u8(0x10, 7);
+        let before =
+            PhysMemory { slabs: m.slabs.clone(), index: m.index.clone(), last: m.last.clone() };
+        m.write_bytes(5 * PAGE_SIZE, &[]);
+        assert!(m.read_bytes(9 * PAGE_SIZE, 0).is_empty());
+        assert!(m == before);
+        assert_eq!(m.resident_frames(), 1);
+    }
+
+    #[test]
+    fn writing_zeros_still_allocates_frames() {
+        let mut m = PhysMemory::new();
+        m.write_bytes(PAGE_SIZE - 1, &[0; 2]);
+        assert_eq!(m.resident_frames(), 2, "both touched frames are resident");
+        m.write_bytes(0, &[0; PAGE_SIZE as usize]);
+        assert_eq!(m.resident_frames(), 2, "re-writing a resident frame allocates nothing");
+        assert_eq!(m.read_bytes(0, 2 * PAGE_SIZE as usize), vec![0; 2 * PAGE_SIZE as usize]);
     }
 
     #[test]

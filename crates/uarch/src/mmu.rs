@@ -104,7 +104,7 @@ pub fn split_cr3(cr3: u64) -> (PageTableId, u16, bool) {
 }
 
 /// A single page table: virtual page number → PTE.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PageTable {
     entries: HashMap<u64, Pte>,
 }
@@ -157,7 +157,7 @@ impl PageTable {
 }
 
 /// A TLB entry.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct TlbEntry {
     pcid: u16,
     vpn: u64,
@@ -186,7 +186,7 @@ pub struct WalkResult {
 }
 
 /// The MMU: page-table registry, current CR3, and the TLB.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub struct Mmu {
     tables: HashMap<PageTableId, PageTable>,
     next_table: u64,

@@ -8,7 +8,7 @@
 use crate::isa::Pmc;
 
 /// A bank of free-running performance counters.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PmcBank {
     counts: [u64; 6],
 }

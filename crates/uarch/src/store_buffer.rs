@@ -26,7 +26,7 @@ pub const DRAIN_WINDOW: u64 = 60;
 pub const CAPACITY: usize = 48;
 
 /// A buffered store.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BufferedStore {
     /// Virtual address of the store.
     pub vaddr: u64,
@@ -69,7 +69,7 @@ pub enum ForwardOutcome {
 }
 
 /// The store buffer.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, PartialEq)]
 pub struct StoreBuffer {
     entries: VecDeque<BufferedStore>,
     /// Number of loads that used store-to-load forwarding (diagnostics and
@@ -111,6 +111,16 @@ impl StoreBuffer {
             stale: width.truncate(stale),
             cycle,
         });
+    }
+
+    /// Widens the range superset to cover `[lo, hi)`, as pushing a store
+    /// at every address of that range would. A bulk copy calls it after
+    /// pushing the youngest stores of a run that covers `[lo, hi)`, so the
+    /// buffer is never empty here.
+    pub(crate) fn cover(&mut self, lo: u64, hi: u64) {
+        debug_assert!(!self.entries.is_empty());
+        self.lo = self.lo.min(lo);
+        self.hi = self.hi.max(hi);
     }
 
     /// Drops stores older than the drain window relative to `now`.

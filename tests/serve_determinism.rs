@@ -287,12 +287,14 @@ fn overload_answers_429_with_retry_after() {
         ..ServerConfig::default()
     });
 
-    // Occupy the single worker with a slow cold artifact.
+    // Occupy the single worker with a slow cold artifact, and wait until
+    // the server has admitted it rather than for a fixed time.
     let slow = {
         let base = base.clone();
         std::thread::spawn(move || get(&base, "/artifact/discussion"))
     };
-    std::thread::sleep(Duration::from_millis(500));
+    let in_flight = await_metric(&base, "regend_in_flight", 1.0, Duration::from_secs(60));
+    assert!(in_flight >= 1.0, "the slow request was admitted: {in_flight}");
 
     // Flood: plain GETs with no 429-retry, concurrently.
     let rejected = AtomicUsize::new(0);
@@ -469,8 +471,13 @@ fn stalled_and_vanished_clients_are_reaped_without_poisoning_the_loop() {
                   GET /artifact/discussion HTTP/1.1\r\nHost: x\r\n\r\n",
             )
             .expect("pipelined pair");
-        // Let the cached response reach this socket's receive buffer.
-        std::thread::sleep(Duration::from_millis(300));
+        // Wait for the cached response to reach this socket's receive
+        // buffer (peek leaves it unread), and for the server to hold the
+        // slow slot as admitted and still owed.
+        doomed.set_read_timeout(Some(Duration::from_secs(30))).expect("read timeout");
+        assert!(doomed.peek(&mut sink).expect("cached response arrives") > 0);
+        let owed = await_metric(&base, "regend_in_flight", 1.0, Duration::from_secs(30));
+        assert!(owed >= 1.0, "the slow slot is still owed: {owed}");
         // Drop without reading: RST.
     }
     let disconnects =
